@@ -29,7 +29,6 @@ import itertools
 import json
 import os
 import signal
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -61,10 +60,8 @@ from repro.telemetry.metrics import MetricsRegistry
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Chaos self-test hook (see ``_guarded_execute``): when set and a pool
-#: worker picks up a scenario tagged ``chaos=kill``, the worker process
-#: hard-exits — the campaign's crash handling can then be exercised by the
-#: test suite exactly as a real segfault/OOM kill would exercise it.
+#: Chaos hook: ``campaign-after:<N>`` hard-exits a journaled campaign
+#: process after its Nth outcome (see ``_chaos_campaign_kill_after``).
 CHAOS_KILL_ENV = "REPRO_CHAOS_KILL"
 
 
@@ -271,7 +268,7 @@ class ExecutionOutcome:
     error: Optional[BaseException] = None
     attempts: int = 1
     #: pid of the process that produced this outcome (worker blame for
-    #: the campaign journal; the caller's own pid for serial execution)
+    #: the campaign journal; the caller's own pid for in-process runs)
     pid: Optional[int] = None
 
 
@@ -295,72 +292,14 @@ def _find_timeout(exc: Optional[BaseException]) -> Optional[_ScenarioTimeout]:
     return None
 
 
-def _run_with_timer_timeout(
+def _run_with_wall_timeout(
     scenario: Scenario, timeout: float, observe: Dict[str, Any]
 ) -> ExperimentResult:
-    """Portable wall-clock guard: ``threading.Timer`` + async-exception.
+    """Run one scenario under a SIGALRM wall-clock budget.
 
-    Used where SIGALRM cannot (no POSIX signals, or off the main
-    thread).  A daemon timer injects :class:`_ScenarioTimeout` into the
-    running thread via ``PyThreadState_SetAsyncExc`` — delivery lands at
-    the next bytecode boundary, which the pure-Python simulator crosses
-    constantly.  A lock plus done-flag closes the finish-line race, and
-    a fired-but-undelivered injection is cleared best-effort on the way
-    out.
+    Only ever called inside a pool worker, which is always its process's
+    main thread, so the alarm can always be armed.
     """
-    import ctypes
-
-    set_async_exc = ctypes.pythonapi.PyThreadState_SetAsyncExc
-    tid = ctypes.c_ulong(threading.get_ident())
-    lock = threading.Lock()
-    state = {"done": False, "fired": False}
-
-    def on_timer() -> None:
-        with lock:
-            if state["done"]:
-                return
-            state["fired"] = True
-            set_async_exc(tid, ctypes.py_object(_ScenarioTimeout))
-
-    timer = threading.Timer(timeout, on_timer)
-    timer.daemon = True
-    timer.start()
-    try:
-        result = execute_scenario(scenario, **observe)
-    except _ScenarioTimeout:
-        raise _ScenarioTimeout(
-            f"exceeded {timeout:g}s wall-clock budget"
-        ) from None
-    finally:
-        with lock:
-            already_done = state["done"]
-            state["done"] = True
-        timer.cancel()
-        if state["fired"] and not already_done:
-            set_async_exc(tid, None)  # clear a pending, undelivered raise
-    return result
-
-
-def _run_with_wall_timeout(
-    scenario: Scenario,
-    timeout: float,
-    observe: Optional[Dict[str, Any]] = None,
-) -> ExperimentResult:
-    """Run one scenario under a wall-clock budget.
-
-    SIGALRM-based where possible (POSIX main thread — inside a pool
-    worker the scenario IS the main thread's only work, so the guard
-    holds exactly where it matters); everywhere else the portable
-    :func:`_run_with_timer_timeout` fallback keeps the budget
-    enforceable instead of silently dropping it.
-    """
-    observe = observe or {}
-    can_alarm = (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not can_alarm:
-        return _run_with_timer_timeout(scenario, timeout, observe)
 
     def on_alarm(signum, frame):
         raise _ScenarioTimeout(f"exceeded {timeout:g}s wall-clock budget")
@@ -374,41 +313,11 @@ def _run_with_wall_timeout(
         signal.signal(signal.SIGALRM, old_handler)
 
 
-#: set by the pool initializer so the chaos hook only ever fires in a
-#: sacrificial worker process, never in the caller's interpreter
-_POOL_WORKER = False
-
-
-def _mark_pool_worker() -> None:
-    global _POOL_WORKER
-    _POOL_WORKER = True
-
-
-def _maybe_chaos_kill(scenario: Scenario) -> None:
-    """Hard-exit the worker if this scenario asks to be killed (tests).
-
-    ``REPRO_CHAOS_KILL=always`` kills on every attempt; any other value
-    is a path — the file is consumed (unlinked) before dying, so the
-    scenario's retry succeeds (kill-once semantics).
-    """
-    mode = os.environ.get(CHAOS_KILL_ENV)
-    if not mode or not _POOL_WORKER or scenario.tag("chaos") != "kill":
-        return
-    if mode == "always":
-        os._exit(28)
-    try:
-        os.unlink(mode)
-    except OSError:
-        return  # token already consumed: survive this attempt
-    os._exit(28)
-
-
 def _chaos_campaign_kill_after() -> Optional[int]:
     """The ``REPRO_CHAOS_KILL=campaign-after:<N>`` threshold, if armed.
 
-    Unlike the worker-level kill hook above, this one fells the whole
-    *campaign process* after its Nth journaled outcome — the chaos
-    harness uses it to exercise kill/resume round-trips at a
+    Fells the whole *campaign process* after its Nth journaled outcome —
+    the chaos harness uses it to exercise kill/resume round-trips at a
     deterministic point instead of racing a timer.
     """
     mode = os.environ.get(CHAOS_KILL_ENV, "")
@@ -431,16 +340,14 @@ def _guarded_execute(
     ``observe`` carries pass-through observability switches for
     :func:`execute_scenario` (``{"metrics": True, "watchdog": "warn"}``)
     — plain data so it crosses the process-pool pickle boundary.
+    ``timeout`` is only ever set inside a pool worker.
     """
-    _maybe_chaos_kill(scenario)
     pid = os.getpid()
     try:
         if timeout is not None:
-            result = _run_with_wall_timeout(scenario, timeout, observe)
+            result = _run_with_wall_timeout(scenario, timeout, observe or {})
         else:
             result = execute_scenario(scenario, **(observe or {}))
-    except _ScenarioTimeout as exc:
-        return ExecutionOutcome(status="timeout", detail=str(exc), pid=pid)
     except Exception as exc:  # noqa: BLE001 - the whole point is containment
         timeout_exc = _find_timeout(exc)
         if timeout_exc is not None:
@@ -459,8 +366,10 @@ def _guarded_execute(
 class SerialExecutor:
     """Run scenarios one after another in this process (the default).
 
-    Deterministic and dependency-free — byte-identical to the historical
-    ``for cfg in grid: run_experiment(cfg)`` loop.
+    Deterministic and dependency-free — byte-identical to calling
+    :func:`execute_scenario` on each scenario in turn.  A wall-clock
+    ``timeout`` needs a SIGALRM in a main thread the scenario owns, so a
+    timed run goes through a one-worker :class:`ParallelExecutor`.
     """
 
     max_workers = 1
@@ -475,15 +384,19 @@ class SerialExecutor:
     ) -> Iterator[Tuple[int, ExecutionOutcome]]:
         """Yield ``(index, outcome)`` in submission order.
 
-        ``max_attempts`` and ``backoff`` are accepted for
-        executor-interface parity but meaningless here: in-process
-        attempts are deterministic, so a retry would only repeat the
-        failure.
+        Untimed, ``max_attempts`` and ``backoff`` are accepted for
+        executor-interface parity but meaningless: in-process attempts
+        are deterministic, so a retry would only repeat the failure.
         """
+        if timeout is not None:
+            yield from ParallelExecutor(max_workers=1).map(
+                scenarios, timeout=timeout, max_attempts=max_attempts,
+                observe=observe, backoff=backoff,
+            )
+            return
         for index, scenario in scenarios:
             yield index, _guarded_execute(
-                scenario, timeout=timeout, keep_exception=True,
-                observe=observe,
+                scenario, keep_exception=True, observe=observe,
             )
 
 
@@ -525,9 +438,7 @@ class ParallelExecutor:
             return
         survivors: List[Tuple[int, Scenario]] = []
         broken = False
-        with ProcessPoolExecutor(
-            max_workers=self.max_workers, initializer=_mark_pool_worker
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
             pending = {
                 pool.submit(
                     _guarded_execute, scenario, timeout, observe=observe
@@ -573,9 +484,7 @@ class ParallelExecutor:
         for attempt in range(1, max_attempts + 1):
             if attempt > 1 and backoff is not None:
                 time.sleep(backoff.delay(attempt - 1))
-            with ProcessPoolExecutor(
-                max_workers=1, initializer=_mark_pool_worker
-            ) as pool:
+            with ProcessPoolExecutor(max_workers=1) as pool:
                 future = pool.submit(
                     _guarded_execute, scenario, timeout, observe=observe
                 )
@@ -697,9 +606,12 @@ class Campaign:
         progress: called with a :class:`CampaignEvent` per state change —
             the CLI renders these as progress lines.
         scenario_timeout: wall-clock budget (seconds) per scenario;
-            ``None`` means unbounded.
+            ``None`` means unbounded.  Enforced by a SIGALRM inside a
+            pool worker (a serial campaign runs timed scenarios in a
+            one-worker pool), so it needs a POSIX platform.
         max_attempts: how often a scenario whose worker process dies is
-            retried before being written off (parallel executor only).
+            retried before being written off (pool runs only: a
+            parallel executor, or a serial one with a timeout).
             Shorthand for ``retry=RetryPolicy(max_attempts=...)``.
         on_failure: ``"raise"`` (default — first failure aborts the
             campaign, matching historical behaviour) or ``"report"`` —
@@ -749,6 +661,11 @@ class Campaign:
         if scenario_timeout is not None and scenario_timeout <= 0:
             raise ConfigError(
                 f"scenario_timeout must be positive, got {scenario_timeout}"
+            )
+        if scenario_timeout is not None and not hasattr(signal, "SIGALRM"):
+            raise ConfigError(
+                "scenario_timeout needs signal.SIGALRM, which this "
+                "platform lacks"
             )
         if max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {max_attempts}")

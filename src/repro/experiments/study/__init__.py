@@ -19,9 +19,8 @@ declarative layers:
   parallel executor and the result cache span the whole study) and ranks
   components by JCT impact with bootstrap confidence intervals.
 
-:mod:`~repro.experiments.study.ablations` re-implements the legacy
-A1–A10 tables on top of these layers; ``repro.experiments.ablations``
-now forwards there through deprecation shims.
+:mod:`~repro.experiments.study.ablations` builds the A1–A10 tables on
+top of these layers.
 """
 
 from repro.experiments.study.components import (

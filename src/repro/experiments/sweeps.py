@@ -23,6 +23,7 @@ and the CSV export can never disagree on headers or formatting.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -145,11 +146,8 @@ def sweep(
             if chained is not None:
                 chained(event)
 
-        camp = Campaign(executor=camp.executor, cache=camp.cache,
-                        progress=adapter,
-                        scenario_timeout=camp.scenario_timeout,
-                        max_attempts=camp.max_attempts,
-                        on_failure=camp.on_failure)
+        camp = copy.copy(camp)
+        camp.progress = adapter
 
     full = camp.run(scenarios).results
     points: List[SweepPoint] = []

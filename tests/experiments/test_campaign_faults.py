@@ -1,5 +1,7 @@
 """Crash-tolerant Campaign tests: timeouts, dead workers, cache races."""
 
+import os
+import signal
 import threading
 import time
 
@@ -13,7 +15,8 @@ from repro.experiments import (
     ResultCache,
     Scenario,
 )
-from repro.experiments.campaign import CHAOS_KILL_ENV
+from repro.experiments.export import result_content_hash
+from repro.experiments.hooks import BuildHook, register_build_hook
 from repro.experiments.runtime import execute_scenario
 from repro.faults import FaultPlan, PSCrash
 
@@ -23,14 +26,47 @@ MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 #: below; the SIGALRM guard must cut it short.
 GLACIAL = MICRO.replace(iterations=200_000, seed=11)
 
+#: The test process itself; the kill hook spares it.
+_TEST_PID = os.getpid()
 
-def test_campaign_survives_timeout_and_worker_death(monkeypatch):
+
+def _kill_worker(runtime, params):
+    """Hard-exit the pool worker running this scenario, as a segfault or
+    an OOM kill would.  With a ``token`` path the first attempt consumes
+    the file and dies; later attempts find it gone and survive."""
+    if os.getpid() == _TEST_PID:
+        return
+    token = params.get("token")
+    if token is not None:
+        try:
+            os.unlink(token)
+        except OSError:
+            return
+    os._exit(28)
+
+
+# The pool forks, so workers inherit this registration.
+register_build_hook(BuildHook(
+    name="test_kill_worker",
+    description="hard-exit the pool worker (campaign crash tests)",
+    post_build=_kill_worker,
+))
+
+
+def _doomed(seed, **params):
+    """A scenario whose worker process dies (see :func:`_kill_worker`)."""
+    scenario = Scenario(config=MICRO.replace(seed=seed))
+    return scenario.with_tags(chaos="kill").with_hook(
+        "test_kill_worker", **params
+    )
+
+
+def test_campaign_survives_timeout_and_worker_death():
     """The acceptance scenario: one hung scenario, one killed worker —
     healthy scenarios keep their results and the report names both."""
-    monkeypatch.setenv(CHAOS_KILL_ENV, "always")
     healthy = Scenario(config=MICRO).with_tags(role="healthy")
     slow = Scenario(config=GLACIAL).with_tags(slow="1")
-    doomed = Scenario(config=MICRO.replace(seed=2)).with_tags(chaos="kill")
+    doomed = _doomed(2)
     campaign = Campaign(
         executor=ParallelExecutor(max_workers=2),
         scenario_timeout=2.0,
@@ -50,12 +86,11 @@ def test_campaign_survives_timeout_and_worker_death(monkeypatch):
     assert "slow=1" in report and "chaos=kill" in report
 
 
-def test_chaos_kill_once_recovers_on_retry(tmp_path, monkeypatch):
+def test_chaos_kill_once_recovers_on_retry(tmp_path):
     """Kill-once semantics: the retry finds the token consumed and succeeds."""
     token = tmp_path / "kill-token"
     token.write_text("armed")
-    monkeypatch.setenv(CHAOS_KILL_ENV, str(token))
-    doomed = Scenario(config=MICRO.replace(seed=3)).with_tags(chaos="kill")
+    doomed = _doomed(3, token=str(token))
     campaign = Campaign(executor=ParallelExecutor(max_workers=2),
                         max_attempts=2, on_failure="report")
     res = campaign.run([doomed])
@@ -65,8 +100,10 @@ def test_chaos_kill_once_recovers_on_retry(tmp_path, monkeypatch):
 
 
 def test_raise_mode_aborts_on_timeout():
+    start = time.monotonic()
     with pytest.raises(CampaignError, match="timeout"):
         Campaign(scenario_timeout=1.0).run([Scenario(config=GLACIAL)])
+    assert time.monotonic() - start < 30.0
 
 
 def test_duplicates_of_a_failed_scenario_fail_together():
@@ -201,55 +238,87 @@ def test_cache_truncated_entry_counts_as_miss_and_quarantine(tmp_path):
     assert len(cache) == 0                     # .corrupt leaves the namespace
 
 
-# -- portable wall-timeout fallback ------------------------------------------
+# -- serial timeouts (a one-worker pool) ------------------------------------
+
+
+# Python 3.12+ warns on any fork from a process with more than one
+# thread; here the only other thread is the main one, blocked in join().
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded")
+def test_serial_timeout_off_main_thread_reports_timeout():
+    """A serial campaign started off the main thread, where SIGALRM
+    cannot be armed, still enforces the budget: the alarm fires in the
+    worker process that runs the scenario."""
+    box = {}
+
+    def run():
+        campaign = Campaign(scenario_timeout=1.0, on_failure="report")
+        box["res"] = campaign.run([Scenario(config=GLACIAL)])
+
+    start = time.monotonic()
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=60.0)
+    assert not t.is_alive()
+    assert [f.kind for f in box["res"].failures] == ["timeout"]
+    assert time.monotonic() - start < 30.0
 
 
 def test_timer_timeout_cuts_glacial_scenario():
-    """The ``threading.Timer`` fallback (no-SIGALRM platforms / non-main
-    threads) enforces the same budget as the signal path."""
-    from repro.experiments.campaign import (
-        _find_timeout,
-        _run_with_timer_timeout,
-    )
+    """The ``setitimer`` budget behind every timed run cuts a scenario
+    that cannot finish in time."""
+    from repro.experiments.campaign import _find_timeout, _run_with_wall_timeout
 
     start = time.monotonic()
-    # The injected exception may surface bare or wrapped in the kernel's
-    # ProcessError, depending on which bytecode boundary it lands at —
-    # exactly the chain _guarded_execute unwinds with _find_timeout.
+    # The alarm may surface bare or wrapped in the kernel's ProcessError,
+    # depending on which bytecode boundary it lands at — exactly the
+    # chain _guarded_execute unwinds with _find_timeout.
     with pytest.raises(Exception) as info:
-        _run_with_timer_timeout(Scenario(config=GLACIAL), 1.0, {})
+        _run_with_wall_timeout(Scenario(config=GLACIAL), 1.0, {})
     assert _find_timeout(info.value) is not None
     assert time.monotonic() - start < 30.0
 
 
-def test_timer_timeout_returns_result_when_fast_enough():
-    from repro.experiments.campaign import _run_with_timer_timeout
+def test_timed_serial_run_matches_untimed():
+    """The one-worker pool behind a serial timeout is result-neutral."""
+    scenario = Scenario(config=MICRO)
+    timed = Campaign(scenario_timeout=60.0).run_one(scenario)
+    assert result_content_hash(timed) == result_content_hash(
+        execute_scenario(scenario)
+    )
 
-    result = _run_with_timer_timeout(Scenario(config=MICRO), 60.0, {})
-    assert result.makespan > 0
+
+def test_timed_serial_error_is_reported_not_lost():
+    """An exception inside the one-worker pool still settles as an
+    ``"error"`` outcome naming the exception."""
+    broken = Scenario(config=MICRO).with_hook("no_such_hook")
+    res = Campaign(scenario_timeout=60.0, on_failure="report").run([broken])
+    [failure] = res.failures
+    assert failure.kind == "error"
+    assert "ConfigError" in failure.detail and "no_such_hook" in failure.detail
 
 
-def test_wall_timeout_off_main_thread_uses_timer_fallback():
-    """``_run_with_wall_timeout`` must stay enforceable where SIGALRM
-    cannot be armed: any thread that is not the main thread."""
-    from repro.experiments.campaign import _run_with_wall_timeout
+def test_find_timeout_sees_through_process_error():
+    """An alarm that fires inside a process generator reaches the
+    campaign wrapped in the kernel's ``ProcessError``."""
+    from repro.errors import ProcessError
     from repro.experiments.campaign import _find_timeout, _ScenarioTimeout
 
-    box = {}
-
-    def worker():
+    alarm = _ScenarioTimeout("exceeded 1s wall-clock budget")
+    try:
         try:
-            _run_with_wall_timeout(Scenario(config=GLACIAL), 1.0)
-        except BaseException as exc:  # noqa: BLE001 - capturing for assert
-            box["exc"] = exc
+            raise alarm
+        except _ScenarioTimeout as exc:
+            raise ProcessError("process 'ps' failed") from exc
+    except ProcessError as wrapped:
+        assert _find_timeout(wrapped) is alarm
+    assert _find_timeout(ProcessError("process 'ps' failed")) is None
 
-    t = threading.Thread(target=worker)
-    t.start()
-    t.join(timeout=60.0)
-    assert not t.is_alive()
-    assert _find_timeout(box["exc"]) is not None or isinstance(
-        box["exc"], _ScenarioTimeout
-    )
+
+def test_timeout_without_sigalrm_is_config_error(monkeypatch):
+    monkeypatch.delattr(signal, "SIGALRM")
+    with pytest.raises(ConfigError, match="SIGALRM"):
+        Campaign(scenario_timeout=1.0)
+    Campaign()                                 # no timeout: no alarm needed
 
 
 # -- retry policy / backoff ---------------------------------------------------
@@ -274,7 +343,7 @@ def test_retry_policy_delays():
         RetryPolicy(factor=0.5)
 
 
-def test_retried_crash_pays_backoff_and_counts(monkeypatch):
+def test_retried_crash_pays_backoff_and_counts():
     """Kill-always chaos: the quarantined scenario dies on attempt 1,
     the campaign sleeps the policy's delay, attempt 2 dies too — the
     write-off and the backoff paid are both visible in the counters.
@@ -283,8 +352,7 @@ def test_retried_crash_pays_backoff_and_counts(monkeypatch):
     a broken pool must not be billed retries.)"""
     from repro.experiments.campaign import RetryPolicy
 
-    monkeypatch.setenv(CHAOS_KILL_ENV, "always")
-    doomed = Scenario(config=MICRO.replace(seed=9)).with_tags(chaos="kill")
+    doomed = _doomed(9)
     policy = RetryPolicy(max_attempts=2, base_delay=0.2, factor=2.0)
     campaign = Campaign(executor=ParallelExecutor(max_workers=2),
                         retry=policy, on_failure="report")
@@ -299,14 +367,13 @@ def test_retried_crash_pays_backoff_and_counts(monkeypatch):
     assert elapsed >= 0.2                          # the backoff was real
 
 
-def test_kill_once_recovery_is_not_billed_a_retry(tmp_path, monkeypatch):
+def test_kill_once_recovery_is_not_billed_a_retry(tmp_path):
     """The flip side: a scenario whose worker died once with the pool but
     whose quarantine run succeeds immediately is charged one attempt and
     zero retries — retry counters measure charged quarantine attempts."""
     token = tmp_path / "kill-token"
     token.write_text("armed")
-    monkeypatch.setenv(CHAOS_KILL_ENV, str(token))
-    doomed = Scenario(config=MICRO.replace(seed=9)).with_tags(chaos="kill")
+    doomed = _doomed(9, token=str(token))
     campaign = Campaign(executor=ParallelExecutor(max_workers=2),
                         max_attempts=2, on_failure="report")
     res = campaign.run([doomed])

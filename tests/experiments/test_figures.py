@@ -133,3 +133,27 @@ def test_fig1_workflow_protocol():
     result.verify_protocol()
     assert len(result.events) == 2 * 3 * 3
     assert "workflow trace" in result.render()
+
+
+def test_robustness_report_mode_keeps_campaign_settings(monkeypatch):
+    """Forcing report mode must not drop the caller's other settings."""
+    from repro.experiments import Campaign
+    from repro.experiments.campaign import RetryPolicy
+    from repro.experiments.figures import robustness
+
+    ran = []
+    run = Campaign.run
+
+    def spy(self, scenarios=None):
+        ran.append(self)
+        return run(self, scenarios)
+
+    monkeypatch.setattr(Campaign, "run", spy)
+    c = Campaign(watchdog="warn", retry=RetryPolicy(base_delay=0.3))
+    robustness.generate(TINY, losses=(0.0,), policies=(Policy.FIFO,),
+                        campaign=c)
+    [used] = ran
+    assert used.on_failure == "report" and c.on_failure == "raise"
+    assert used.watchdog == "warn"
+    assert used.retry.base_delay == 0.3
+    assert used.metrics is c.metrics

@@ -6,7 +6,8 @@ import io
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import ExperimentConfig, Policy
+from repro.experiments import Campaign, ExperimentConfig, Policy
+from repro.experiments.campaign import RetryPolicy
 from repro.experiments.sweeps import sweep
 
 TINY = ExperimentConfig.tiny()
@@ -56,6 +57,28 @@ def test_sweep_progress_callback():
           progress=lambda i, n, ov: seen.append((i, n, dict(ov))))
     assert seen[0] == (0, 2, {"placement_index": 1})
     assert seen[1][0] == 1
+
+
+def test_sweep_progress_keeps_campaign_settings(monkeypatch):
+    """Chaining a progress callback must not drop the caller's campaign
+    settings, nor count into a registry other than the caller's."""
+    ran = []
+    run = Campaign.run
+
+    def spy(self, scenarios=None):
+        ran.append(self)
+        return run(self, scenarios)
+
+    monkeypatch.setattr(Campaign, "run", spy)
+    c = Campaign(watchdog="warn", retry=RetryPolicy(base_delay=0.3))
+    sweep(TINY, axes={"placement_index": [1, 8]},
+          progress=lambda i, n, ov: None, campaign=c)
+    [used] = ran
+    assert used.watchdog == "warn"
+    assert used.retry.base_delay == 0.3
+    assert used.metrics is c.metrics
+    counters = c.metrics.snapshot()["counters"]
+    assert counters["campaign_scenarios_total{status=ok}"] == 2
 
 
 def test_sweep_render_and_csv():

@@ -1,13 +1,8 @@
-"""The stable surface: repro.api exports and the runner deprecation shim."""
+"""The stable surface: repro.api exports."""
 
 import inspect
-import warnings
-
-import pytest
 
 import repro.api as api
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runtime import ExperimentResult
 
 
 def test_every_name_in_all_resolves():
@@ -67,26 +62,3 @@ def test_facade_classes_have_docstrings():
         obj = getattr(api, name)
         if inspect.isclass(obj) or inspect.isfunction(obj):
             assert obj.__doc__, f"{name} has no docstring"
-
-
-def test_run_experiment_warns_and_forwards():
-    from repro.experiments.runner import run_experiment
-
-    cfg = ExperimentConfig.tiny()
-    with pytest.warns(DeprecationWarning, match="run_experiment is deprecated"):
-        res = run_experiment(cfg)
-    assert isinstance(res, ExperimentResult)
-    assert res.config == cfg
-
-
-def test_run_experiment_matches_pipeline():
-    """The shim is byte-equivalent to the Scenario/Runtime pipeline."""
-    from repro.experiments.export import result_content_hash
-    from repro.experiments.runner import run_experiment
-
-    cfg = ExperimentConfig.tiny()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_experiment(cfg)
-    modern = api.execute_scenario(api.Scenario(config=cfg))
-    assert result_content_hash(legacy) == result_content_hash(modern)
