@@ -28,6 +28,14 @@ class Qdisc:
     continuous token state, and any fast-path shortcut that skipped (or
     batched) dequeues would de-synchronize that state from the packet-
     granularity timeline the content hashes pin.
+
+    Token state is a pure function of the last charge: a bucket holds
+    its level and time at the last ``consume``, and every read computes
+    the level at ``now`` from those two without writing.  Reads are
+    therefore free, in the sense that how often anything inspects a
+    bucket cannot change its trajectory, and the same at either
+    granularity; only the charges, which happen at the real dequeue
+    timestamps, move token state.
     """
 
     #: True when dequeue(now) never returns None while backlogged.

@@ -27,19 +27,40 @@ priority scheduler with starvation protection.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import QdiscError
 from repro.net.packet import Segment
 from repro.net.qdisc.base import Qdisc
 from repro.net.qdisc.filters import FlowFilter
-from repro.net.qdisc.tbf import TokenBucket
+from repro.net.qdisc.tbf import TOKEN_EPSILON, TokenBucket
 
 #: Default burst sizing: allow ~this much time of full-rate accumulation.
 DEFAULT_BURST_SECONDS = 0.002
 #: Minimum burst so tiny-rate classes can still emit one max-size segment.
 MIN_BURST_BYTES = 512 * 1024
+#: Relative slack that keeps a leaf's cached earliest-green time below the
+#: first instant its exact token comparison turns true: float rounding in
+#: that comparison is ~1e-16 relative, so 1e-9 is conservative by orders
+#: of magnitude and costs only an occasional early re-check.
+GREEN_SLACK = 1e-9
+#: ``HTBClass.green_at`` when no bound is known: the leaf is checked
+_NEVER_SKIP = float("-inf")
+
+
+def _earliest_green(bucket: TokenBucket, need: float) -> float:
+    """A lower bound on when ``bucket`` refills to ``need`` tokens.
+
+    Infinite when ``need`` exceeds the burst; otherwise the exact refill
+    time pulled earlier by :data:`GREEN_SLACK`, far more than the float
+    rounding in the comparison it stands in for.
+    """
+    if need > bucket.burst:
+        return float("inf")
+    last = bucket.last_update
+    wait = (need - bucket.tokens) / bucket.rate
+    return last + wait - GREEN_SLACK * (1.0 + wait + abs(last) + abs(need) / bucket.rate)
 
 
 class HTBClass:
@@ -59,6 +80,7 @@ class HTBClass:
         "queued_bytes",
         "deficit",
         "sent_bytes",
+        "green_at",
     )
 
     def __init__(
@@ -93,16 +115,15 @@ class HTBClass:
         self.queued_bytes = 0
         self.deficit = 0.0
         self.sent_bytes = 0
+        #: a lower bound on when the rate bucket can cover the head
+        #: segment; dequeue skips the leaf's green check before it.  Reset
+        #: whenever the bucket is charged, the rate changes or the head
+        #: segment shrinks.
+        self.green_at = _NEVER_SKIP
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def ancestors(self):
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -129,12 +150,23 @@ class HTBQdisc(Qdisc):
         self._bytes = 0
         self._last_served: Dict[int, int] = {}
         self._serve_seq = 0
-        #: leaves in classid-insertion order — dequeue scans this instead
-        #: of filtering the whole class tree per packet
-        self._leaves: list[HTBClass] = []
+        #: leaves in classid-insertion order
+        self._leaves: Tuple[HTBClass, ...] = ()
+        #: the same leaves stably sorted by prio — dequeue walks this and
+        #: stops after the first priority that can send
+        self._by_prio: Tuple[HTBClass, ...] = ()
+
+    @property
+    def leaves(self) -> Tuple[HTBClass, ...]:
+        """The leaf classes (the bands segments queue in), in creation order."""
+        return self._leaves
 
     def _rebuild_leaves(self) -> None:
-        self._leaves = [c for c in self.classes.values() if c.is_leaf]
+        self._leaves = tuple(c for c in self.classes.values() if c.is_leaf)
+        self._rebuild_prio_order()
+
+    def _rebuild_prio_order(self) -> None:
+        self._by_prio = tuple(sorted(self._leaves, key=lambda c: c.prio))
 
     # -- configuration (tc class add/change/del) ---------------------------
 
@@ -183,19 +215,33 @@ class HTBQdisc(Qdisc):
         rate: Optional[float] = None,
         ceil: Optional[float] = None,
         prio: Optional[int] = None,
+        *,
+        now: Optional[float] = None,
     ) -> None:
-        """``tc class change ...`` — used by TLs-RR to rotate priorities."""
+        """``tc class change ...`` — used by TLs-RR to rotate priorities.
+
+        A new ``rate`` or ``ceil`` needs the current time ``now``: the
+        re-rated bucket is first settled at its old rate, so tokens
+        earned before the change keep the price they were earned at.
+        """
         cls = self._get(classid)
+        if (rate is not None or ceil is not None) and now is None:
+            raise QdiscError(f"class {classid}: changing rate or ceil needs now=")
+        new_rate = cls.rate if rate is None else rate
+        if ceil is not None and ceil < new_rate:
+            raise QdiscError(f"class {classid}: ceil ({ceil}) < rate ({new_rate})")
         if rate is not None:
+            cls.bucket.refill(now)
             cls.rate = rate
             cls.bucket.rate = rate
+            cls.green_at = _NEVER_SKIP
         if ceil is not None:
-            if ceil < cls.rate:
-                raise QdiscError(f"class {classid}: ceil ({ceil}) < rate ({cls.rate})")
+            cls.cbucket.refill(now)
             cls.ceil = ceil
             cls.cbucket.rate = ceil
         if prio is not None:
             cls.prio = prio
+            self._rebuild_prio_order()
 
     def del_class(self, classid: int) -> None:
         """``tc class del ...`` — queued packets of the class are dropped."""
@@ -217,26 +263,15 @@ class HTBQdisc(Qdisc):
 
     # -- datapath -----------------------------------------------------------
 
-    def _leaf_for(self, seg: Segment) -> Optional[HTBClass]:
+    def enqueue(self, seg: Segment, now: float) -> bool:
         classid = self.filter.classify(seg) if self.filter is not None else None
         if classid is None:
             classid = self.default_classid
-        if classid is None:
-            return None
-        cls = self.classes.get(classid)
-        if cls is None or not cls.is_leaf:
-            cls = (
-                self.classes.get(self.default_classid)
-                if self.default_classid is not None
-                else None
-            )
-        if cls is None or not cls.is_leaf:
-            return None
-        return cls
-
-    def enqueue(self, seg: Segment, now: float) -> bool:
-        leaf = self._leaf_for(seg)
-        if leaf is None:
+        leaf = self.classes.get(classid) if classid is not None else None
+        if leaf is None or leaf.children:
+            # unmatched or non-leaf class id: fall back to the default leaf
+            leaf = self.classes.get(self.default_classid)
+        if leaf is None or leaf.children:
             self._note_drop()
             return False
         leaf.queue.append(seg)
@@ -245,9 +280,11 @@ class HTBQdisc(Qdisc):
         self._bytes += seg.size
         return True
 
-    def _green(self, leaf: HTBClass, size: int, now: float) -> bool:
-        """Leaf can send within its own guaranteed rate (and its ceil)."""
-        return leaf.bucket.can_consume(size, now) and leaf.cbucket.can_consume(size, now)
+    # The bucket reads below inline TokenBucket.level: they run several
+    # times per segment, and a call per read was most of the qdisc's cost.
+    # With a monotone clock (now >= last_update) and tokens <= burst,
+    # ``level(now) < need`` holds exactly when
+    # ``tokens + (now - last_update) * rate < need or burst < need``.
 
     def _lender(self, leaf: HTBClass, size: int, now: float) -> Optional[HTBClass]:
         """Nearest ancestor whose rate bucket can cover ``size``.
@@ -256,13 +293,19 @@ class HTBQdisc(Qdisc):
         headroom; otherwise that subtree is capped and cannot borrow
         through it.
         """
-        if not leaf.cbucket.can_consume(size, now):
+        need = size - TOKEN_EPSILON
+        b = leaf.cbucket
+        if b.tokens + (now - b.last_update) * b.rate < need or b.burst < need:
             return None
-        for anc in leaf.ancestors():
-            if not anc.cbucket.can_consume(size, now):
+        node = leaf.parent
+        while node is not None:
+            b = node.cbucket
+            if b.tokens + (now - b.last_update) * b.rate < need or b.burst < need:
                 return None
-            if anc.bucket.can_consume(size, now):
-                return anc
+            b = node.bucket
+            if b.tokens + (now - b.last_update) * b.rate >= need and b.burst >= need:
+                return node
+            node = node.parent
         return None
 
     def _charge(self, leaf: HTBClass, lender: Optional[HTBClass], size: int, now: float) -> None:
@@ -277,87 +320,121 @@ class HTBQdisc(Qdisc):
         else:
             lender.bucket.consume(size, now)
         leaf.cbucket.consume(size, now)
-        for anc in leaf.ancestors():
-            anc.cbucket.consume(size, now)
-            if anc is lender:
+        node = leaf.parent
+        while node is not None:
+            node.cbucket.consume(size, now)
+            if node is lender:
                 break
+            node = node.parent
         leaf.sent_bytes += size
 
-    def _select(self, candidates: list[HTBClass]) -> HTBClass:
-        """Priority first; DRR (deficit + quantum) among equal priorities.
+    def _select(self, peers: List[HTBClass]) -> HTBClass:
+        """DRR (deficit + quantum) among two or more equal-priority ``peers``.
 
         Fairness among peers uses a least-recently-served rotation: of the
         peers whose deficit covers their head segment, pick the one served
         longest ago; when no peer has deficit, replenish all by quantum.
         """
-        best_prio = min(c.prio for c in candidates)
-        peers = [c for c in candidates if c.prio == best_prio]
-        if len(peers) == 1:
-            chosen = peers[0]
-        else:
-            chosen = None
-            while chosen is None:
-                ready = [c for c in peers if c.deficit >= c.queue[0].size]
-                if ready:
-                    chosen = min(
-                        ready, key=lambda c: (self._last_served.get(c.classid, -1), c.classid)
-                    )
-                else:
-                    for cls in peers:
-                        cls.deficit += cls.quantum
-        self._serve_seq += 1
-        self._last_served[chosen.classid] = self._serve_seq
-        return chosen
+        while True:
+            ready = [c for c in peers if c.deficit >= c.queue[0].size]
+            if ready:
+                return min(
+                    ready, key=lambda c: (self._last_served.get(c.classid, -1), c.classid)
+                )
+            for cls in peers:
+                cls.deficit += cls.quantum
 
     def dequeue(self, now: float) -> Optional[Segment]:
+        """Send from the best leaf: green leaves (within their own rate)
+        before yellow ones (borrowing), lowest ``prio`` first within each
+        pass, DRR among equal-prio peers.
+
+        Both passes walk the leaves in prio order and stop after the first
+        priority with a leaf that can send; the green pass skips leaves
+        whose earliest-green bound lies ahead of ``now``.
+        """
         if self._len == 0:
             return None
-        backlogged = [c for c in self._leaves if c.queue]
-        if not backlogged:
-            return None
-
-        green = [c for c in backlogged if self._green(c, c.queue[0].size, now)]
-        if green:
-            leaf = self._select(green)
-            lender = None
-        else:
-            lenders = {
-                c.classid: self._lender(c, c.queue[0].size, now) for c in backlogged
-            }
-            yellow = [c for c in backlogged if lenders[c.classid] is not None]
-            if not yellow:
+        peers: Optional[List[HTBClass]] = None
+        lenders: Optional[List[HTBClass]] = None
+        prio = 0
+        for leaf in self._by_prio:
+            if peers is not None and leaf.prio != prio:
+                break
+            queue = leaf.queue
+            if not queue or leaf.green_at > now:
+                continue
+            need = queue[0].size - TOKEN_EPSILON
+            b = leaf.bucket
+            if b.tokens + (now - b.last_update) * b.rate < need or b.burst < need:
+                leaf.green_at = _earliest_green(b, need)
+                continue
+            b = leaf.cbucket
+            if b.tokens + (now - b.last_update) * b.rate < need or b.burst < need:
+                continue
+            if peers is None:
+                peers = [leaf]
+                prio = leaf.prio
+            else:
+                peers.append(leaf)
+        if peers is None:
+            for leaf in self._by_prio:
+                if peers is not None and leaf.prio != prio:
+                    break
+                queue = leaf.queue
+                if not queue:
+                    continue
+                lender = self._lender(leaf, queue[0].size, now)
+                if lender is None:
+                    continue
+                if peers is None:
+                    peers = [leaf]
+                    lenders = [lender]
+                    prio = leaf.prio
+                else:
+                    peers.append(leaf)
+                    lenders.append(lender)
+            if peers is None:
                 return None
-            leaf = self._select(yellow)
-            lender = lenders[leaf.classid]
 
-        seg = leaf.queue.popleft()
-        leaf.queued_bytes -= seg.size
-        leaf.deficit = max(0.0, leaf.deficit - seg.size)
+        leaf = peers[0] if len(peers) == 1 else self._select(peers)
+        lender = lenders[peers.index(leaf)] if lenders else None
+        self._serve_seq += 1
+        self._last_served[leaf.classid] = self._serve_seq
+        queue = leaf.queue
+        seg = queue.popleft()
+        size = seg.size
+        leaf.queued_bytes -= size
+        deficit = leaf.deficit - size
+        leaf.deficit = deficit if deficit > 0.0 else 0.0
+        # A green bound that held for the segment just sent still holds
+        # for a next segment at least as large, unless the send charged
+        # the rate bucket.
+        if lender is None or not queue or queue[0].size < size:
+            leaf.green_at = _NEVER_SKIP
         self._len -= 1
-        self._bytes -= seg.size
-        self._charge(leaf, lender, seg.size, now)
+        self._bytes -= size
+        self._charge(leaf, lender, size, now)
         return seg
 
     def next_ready_time(self, now: float) -> Optional[float]:
         """Earliest time any backlogged leaf could become green or yellow."""
         best: Optional[float] = None
-        for leaf in self.classes.values():
-            if not leaf.is_leaf or not leaf.queue:
+        for leaf in self._leaves:
+            if not leaf.queue:
                 continue
             size = leaf.queue[0].size
             # Time to green: own rate bucket and own ceil bucket.
-            t_green = max(
-                leaf.bucket.time_until(size, now),
-                leaf.cbucket.time_until(size, now),
-            )
-            candidate = t_green
-            # Time to yellow through the nearest ancestor (hop ceils apply).
             t_path = leaf.cbucket.time_until(size, now)
-            for anc in leaf.ancestors():
-                t_hop = anc.cbucket.time_until(size, now)
-                t_lend = max(t_path, t_hop, anc.bucket.time_until(size, now))
+            candidate = max(leaf.bucket.time_until(size, now), t_path)
+            # Time to yellow through the nearest ancestor (hop ceils apply).
+            node = leaf.parent
+            while node is not None:
+                t_hop = node.cbucket.time_until(size, now)
+                t_lend = max(t_path, t_hop, node.bucket.time_until(size, now))
                 candidate = min(candidate, t_lend)
                 t_path = max(t_path, t_hop)
+                node = node.parent
             if best is None or candidate < best:
                 best = candidate
         if best is None:
@@ -374,6 +451,7 @@ class HTBQdisc(Qdisc):
         out = []
         for classid in sorted(self.classes):
             leaf = self.classes[classid]
+            leaf.green_at = _NEVER_SKIP
             while leaf.queue:
                 seg = leaf.queue.popleft()
                 leaf.queued_bytes -= seg.size
@@ -393,5 +471,5 @@ class HTBQdisc(Qdisc):
         return len(self._get(classid).queue)
 
     def __repr__(self) -> str:  # pragma: no cover
-        leaves = {c.classid: len(c.queue) for c in self.classes.values() if c.is_leaf}
+        leaves = {c.classid: len(c.queue) for c in self._leaves}
         return f"HTBQdisc(leaves={leaves})"

@@ -24,7 +24,16 @@ TOKEN_EPSILON = 1e-6
 
 
 class TokenBucket:
-    """A plain token bucket: ``rate`` bytes/s refill, ``burst`` bytes cap."""
+    """A plain token bucket: ``rate`` bytes/s refill, ``burst`` bytes cap.
+
+    The state is the level at the last charge (``tokens``) and the time of
+    that charge (``last_update``); the level at any later time is a pure
+    function of the two (:meth:`level`).  Reads (:meth:`level`,
+    :meth:`can_consume`, :meth:`time_until`) never write, so a bucket's
+    float trajectory does not depend on how often it is inspected.  Only
+    :meth:`refill` writes: a charge (:meth:`consume`) settles through it,
+    and so does HTB before re-rating a class.
+    """
 
     __slots__ = ("rate", "burst", "tokens", "last_update")
 
@@ -38,14 +47,23 @@ class TokenBucket:
         self.tokens = burst if start_full else 0.0
         self.last_update = 0.0
 
-    def refill(self, now: float) -> None:
+    def level(self, now: float) -> float:
+        """Tokens available at ``now``, without changing the bucket."""
         if now > self.last_update:
-            self.tokens = min(self.burst, self.tokens + (now - self.last_update) * self.rate)
+            level = self.tokens + (now - self.last_update) * self.rate
+            return level if level < self.burst else self.burst
+        return self.tokens
+
+    def refill(self, now: float) -> None:
+        """Settle the bucket at ``now``: bank the tokens earned since the
+        last settle (a stale ``now`` changes nothing)."""
+        if now > self.last_update:
+            tokens = self.tokens + (now - self.last_update) * self.rate
+            self.tokens = tokens if tokens < self.burst else self.burst
             self.last_update = now
 
     def can_consume(self, amount: float, now: float) -> bool:
-        self.refill(now)
-        return self.tokens >= amount - TOKEN_EPSILON
+        return self.level(now) >= amount - TOKEN_EPSILON
 
     def consume(self, amount: float, now: float) -> None:
         self.refill(now)
@@ -53,8 +71,7 @@ class TokenBucket:
 
     def time_until(self, amount: float, now: float) -> float:
         """Seconds from ``now`` until ``amount`` tokens are available."""
-        self.refill(now)
-        deficit = amount - TOKEN_EPSILON - self.tokens
+        deficit = amount - TOKEN_EPSILON - self.level(now)
         if deficit <= 0:
             return 0.0
         return deficit / self.rate

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+from repro.net.qdisc.htb import HTBQdisc
 from repro.telemetry.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +50,7 @@ def scrape_cluster(
                 nic.utilization_snapshot()["busy_time"]
             )
             gauge("nic_backlog_segments", host=host_id).set(len(nic.qdisc))
-            _scrape_qdisc(registry, host_id, nic.qdisc)
+            scrape_qdisc(registry, host_id, nic.qdisc)
         gauge("host_cpu_busy_seconds_total", host=host_id).set(
             host.cpu.utilization_snapshot()
         )
@@ -93,12 +94,11 @@ def scrape_cluster(
         gauge("tl_reconfigurations_total").set(controller.reconfigurations)
 
 
-def _scrape_qdisc(registry: MetricsRegistry, host_id: str, qdisc) -> None:
-    """Per-band HTB occupancy, when the host runs TensorLights' HTB."""
-    leaves = getattr(qdisc, "_leaves", None)
-    if leaves is None:
+def scrape_qdisc(registry: MetricsRegistry, host_id: str, qdisc) -> None:
+    """Per-band HTB sent and backlog bytes, when ``qdisc`` is an HTB."""
+    if not isinstance(qdisc, HTBQdisc):
         return
-    for leaf in leaves:
+    for leaf in qdisc.leaves:
         registry.gauge(
             "qdisc_band_sent_bytes_total", host=host_id,
             classid=leaf.classid, prio=leaf.prio,
@@ -107,6 +107,4 @@ def _scrape_qdisc(registry: MetricsRegistry, host_id: str, qdisc) -> None:
             "qdisc_band_backlog_bytes", host=host_id,
             classid=leaf.classid, prio=leaf.prio,
         ).set(leaf.queued_bytes)
-    drops = getattr(qdisc, "drops", None)
-    if drops is not None:
-        registry.gauge("qdisc_drops_total", host=host_id).set(drops)
+    registry.gauge("qdisc_drops_total", host=host_id).set(qdisc.drops)

@@ -24,6 +24,7 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import TcError
 from repro.net.qdisc import HTBQdisc, PFifo, PortFilter
+from repro.telemetry.scrape import scrape_qdisc
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.nic import NIC
@@ -87,7 +88,15 @@ class Tc:
         self.nic.set_qdisc(htb)
 
     def remove(self) -> None:
-        """``tc qdisc del root`` — revert to the default FIFO."""
+        """``tc qdisc del root`` — revert to the default FIFO.
+
+        With metrics on, the HTB's per-band counters are scraped first:
+        TensorLights removes the qdisc when contention ends, before the
+        end-of-run scrape could read them.
+        """
+        metrics = self.nic.sim.metrics
+        if self._htb is not None and metrics.enabled:
+            scrape_qdisc(metrics, self.nic.host_id, self._htb)
         self._htb = None
         self._filter = None
         self._n_bands = 0

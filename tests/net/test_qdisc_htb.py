@@ -58,13 +58,26 @@ def test_change_class_prio_and_rates():
     htb, _ = tls_style_htb()
     htb.change_class(100, prio=5)
     assert htb.classes[100].prio == 5
-    htb.change_class(100, rate=123.0, ceil=456.0)
+    htb.change_class(100, rate=123.0, ceil=456.0, now=0.0)
     assert htb.classes[100].rate == 123.0
     assert htb.classes[100].ceil == 456.0
     with pytest.raises(QdiscError):
-        htb.change_class(100, ceil=1.0)  # below rate
+        htb.change_class(100, ceil=1.0, now=0.0)  # below rate
+    with pytest.raises(QdiscError):
+        htb.change_class(100, rate=200.0)  # re-rating needs the time
     with pytest.raises(QdiscError):
         htb.change_class(999)
+
+
+def test_change_class_settles_tokens_at_the_old_rate():
+    """Tokens earned before a re-rate keep the old price."""
+    htb = HTBQdisc()
+    leaf = htb.add_class(1, rate=100.0, burst=1000.0)
+    leaf.bucket.consume(500.0, 0.0)  # half empty at t=0
+    htb.change_class(1, rate=300.0, now=1.0)
+    # 500 + 100 B/s x 1 s at the old rate, then 300 B/s x 1 s at the new
+    assert leaf.bucket.level(2.0) == 900.0
+    assert leaf.bucket.level(3.0) == 1000.0  # capped at burst
 
 
 def test_del_class():

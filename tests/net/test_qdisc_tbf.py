@@ -78,6 +78,91 @@ def test_property_bucket_long_run_rate_bounded(rate, burst, ops):
     assert consumed <= burst + rate * now + 1e-6
 
 
+# ---------------------------------------------------------------- pure reads
+
+
+def test_reads_leave_the_bucket_unchanged():
+    b = TokenBucket(rate=100.0, burst=500.0)
+    b.consume(300.0, 1.0)
+    state = (b.tokens, b.last_update)
+    assert b.level(2.0) == 300.0
+    assert b.can_consume(300.0, 2.0)
+    assert b.time_until(450.0, 2.0) == pytest.approx(1.5)
+    assert (b.tokens, b.last_update) == state
+
+
+def test_level_is_capped_and_ignores_stale_time():
+    b = TokenBucket(rate=100.0, burst=500.0)
+    b.consume(500.0, 2.0)
+    assert b.level(1.0) == 0.0  # before the last charge: nothing earned
+    assert b.level(3.0) == 100.0
+    assert b.level(100.0) == 500.0
+
+
+reads = st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=10)
+
+
+@given(
+    st.floats(min_value=1.0, max_value=1e9),
+    st.floats(min_value=1.0, max_value=1e7),
+    st.lists(
+        st.tuples(reads, st.floats(min_value=0.0, max_value=0.1),
+                  st.floats(min_value=0.0, max_value=1e5)),
+        max_size=20,
+    ),
+)
+def test_property_reads_do_not_change_charges(rate, burst, charges):
+    """Charges land on exactly the same floats with or without reads."""
+    read, quiet = TokenBucket(rate, burst), TokenBucket(rate, burst)
+    now = 0.0
+    for fractions, dt, amount in charges:
+        for f in fractions:  # reads anywhere in the gap before the charge
+            t = now + f * dt
+            read.level(t)
+            read.can_consume(amount, t)
+            read.time_until(amount, t)
+        now += dt
+        read.consume(amount, now)
+        quiet.consume(amount, now)
+        assert (read.tokens, read.last_update) == (quiet.tokens, quiet.last_update)
+
+
+class _RefillOnRead:
+    """The earlier bucket, which banked tokens on every read."""
+
+    def __init__(self, rate, burst):
+        self.rate, self.burst, self.tokens, self.last = rate, burst, burst, 0.0
+
+    def read(self, now):
+        if now > self.last:
+            self.tokens = min(self.burst, self.tokens + (now - self.last) * self.rate)
+            self.last = now
+        return self.tokens
+
+
+@given(
+    st.floats(min_value=1.0, max_value=1e9),
+    st.floats(min_value=1.0, max_value=1e7),
+    st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=0.01),
+                  st.booleans(), st.floats(min_value=0.0, max_value=1e5)),
+        max_size=60,
+    ),
+)
+def test_property_level_tracks_the_refill_on_read_trajectory(rate, burst, steps):
+    """Reading through ``level`` agrees with banking on every read up to
+    float rounding (1e-9 relative to the bucket's scale)."""
+    pure, old = TokenBucket(rate, burst), _RefillOnRead(rate, burst)
+    now = 0.0
+    for dt, charge, amount in steps:
+        now += dt
+        expected = old.read(now)
+        assert pure.level(now) == pytest.approx(expected, rel=1e-9, abs=1e-9 * burst)
+        if charge:
+            pure.consume(amount, now)
+            old.tokens -= amount
+
+
 # ---------------------------------------------------------------- TBF qdisc
 
 

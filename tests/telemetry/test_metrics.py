@@ -7,6 +7,7 @@ from repro.experiments import ExperimentConfig, Policy, Scenario
 from repro.experiments.runtime import execute_scenario, materialize
 from repro.sim import Simulator
 from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.tensorlights.tc import BAND_CLASSID_BASE
 
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 
@@ -179,6 +180,24 @@ def test_materialize_with_metrics_collects_a_snapshot():
     assert any(k.startswith("nic_bytes_tx_total{") for k in gauges)
     assert any(k.startswith("dl_barrier_wait_seconds{") for k in hists)
     assert gauges.get("tl_reconfigurations_total", 0) >= 0
+
+
+def test_tensorlights_run_exports_per_band_qdisc_gauges():
+    """TensorLights removes its HTB when contention ends, before the
+    end-of-run scrape; the band counters must still reach the snapshot."""
+    cfg = MICRO.replace(policy=Policy.TLS_ONE)
+    run = materialize(Scenario(config=cfg), metrics=True)
+    gauges = run.run().metrics_snapshot["gauges"]
+    ps_host = run.ps_hosts[0]
+    sent = {
+        key: value for key, value in gauges.items()
+        if key.startswith("qdisc_band_sent_bytes_total{")
+        and f"host={ps_host}" in key
+    }
+    assert sorted(int(k.split("classid=")[1].split(",")[0]) for k in sent) == [
+        BAND_CLASSID_BASE + band for band in range(run.controller.max_bands)
+    ]
+    assert sum(sent.values()) > 0
 
 
 def test_metrics_do_not_change_the_simulated_result():
